@@ -46,7 +46,9 @@ from repro.consistency.constraints import PrimaryKey
 from repro.engine.executor import EngineResult, ExecutionReport
 from repro.relational.compile import ExpressionCompiler
 from repro.relational.eval import expression_type
-from repro.relational.query import QueryProcessor, _group_key as value_key, expand_star_items, output_names
+from repro.relational.finalize import expand_star_items
+from repro.relational.query import QueryProcessor
+from repro.relational.types import value_key
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import Attribute, Schema
 from repro.sql.ast import (
@@ -61,6 +63,7 @@ from repro.sql.ast import (
     conjoin,
     conjuncts,
     is_aggregate_call,
+    item_names,
     transform,
     walk,
 )
@@ -500,7 +503,7 @@ class ConsistentQueryExecutor:
         project = compiler.projection([item.expr for item in items])
         output_schema = Schema(
             Attribute(name=name, type=expression_type(item.expr, local_schema))
-            for name, item in zip(output_names(items), items)
+            for name, item in zip(item_names(items), items)
         )
 
         # Group companion rows by (clean-side values, dirty key): each group

@@ -38,6 +38,7 @@ from repro.errors import PlanningError
 from repro.engine.catalog import Catalog, CatalogEntry
 from repro.engine.cost import CostEstimate, CostModel
 from repro.engine.plan import BindJoinSpec, BranchPlan, JoinStep, QueryPlan, SourceRequest
+from repro.relational.finalize import commuting_limit
 from repro.sql.printer import to_sql
 from repro.sql.ast import (
     BinaryOp,
@@ -55,7 +56,6 @@ from repro.sql.ast import (
     column_refs,
     conjoin,
     conjuncts,
-    is_aggregate_call,
     walk,
 )
 from repro.sql.parser import DerivedTable
@@ -198,7 +198,8 @@ class QueryPlanner:
         if join_steps:
             self._apply_bind_joins(requests, request_index, join_steps, bindings)
 
-        fetch_limit = self._branch_fetch_limit(select)
+        fetch_limit = (commuting_limit(select)
+                       if self.config.push_fetch_limits else None)
         if (fetch_limit is not None and len(requests) == 1 and not post_join
                 and not requests[0].local_filters and requests[0].sql is not None):
             limited = self._push_fetch_limit(select, requests[0], fetch_limit, bindings)
@@ -232,26 +233,6 @@ class QueryPlanner:
         )
 
     # -- fetch-limit push-down -------------------------------------------------------
-
-    def _branch_fetch_limit(self, select: Select) -> Optional[int]:
-        """The branch's safe row bound, or None when LIMIT does not commute.
-
-        A LIMIT commutes with finalization only when no phase after it can
-        change the row count: DISTINCT, GROUP BY, HAVING and aggregates all
-        disqualify the branch (they collapse rows after the bound would have
-        truncated them).
-        """
-        if not self.config.push_fetch_limits or select.limit is None:
-            return None
-        if select.distinct or select.group_by or select.having is not None:
-            return None
-        if any(
-            is_aggregate_call(node)
-            for item in select.items
-            for node in walk(item.expr)
-        ):
-            return None
-        return select.limit + (select.offset or 0)
 
     def _push_fetch_limit(self, select: Select, request: SourceRequest,
                           fetch_limit: int, bindings: Dict[str, str],

@@ -7,11 +7,10 @@ fetching everything, joining everything and materializing the answer, it
   the bounded pool — or lazily, one at a time, when the pool is bounded to a
   single request — and awaits each result only when a branch actually needs
   it staged;
-* stages and finalizes branches **lazily**, in plan order, through the same
-  physical operators and the same finalization semantics as the eager path —
-  the common non-aggregated shape streams through ``Project`` → ``Sort`` →
-  ``Distinct`` → ``Limit`` operator by operator, while grouped/aggregated
-  branches fall back to the materializing finalizer per branch;
+* stages and finalizes branches **lazily**, in plan order, through the
+  operator chain :func:`~repro.relational.finalize.build_finalization` builds
+  for every SELECT — ``Project`` (or the blocking ``Aggregate``) → ``Sort`` →
+  ``Distinct`` → ``Limit`` — the same finalization the local processor runs;
 * threads one shared :class:`~repro.relational.budget.MemoryBudget` through
   every memory-hungry operator, so the statement's operator memory is bounded
   and spills are observable in the execution report;
@@ -51,33 +50,13 @@ from repro.engine.request_cache import RequestKey
 from repro.engine.resilience import Deadline
 from repro.obs.trace import current_span
 from repro.relational.budget import MemoryBudget, estimate_row_bytes
-from repro.relational.operators import (
-    Distinct,
-    Filter,
-    Limit,
-    PhysicalOperator,
-    Project,
-    Sort,
-    TableScan,
-)
-from repro.relational.query import (
-    QueryProcessor,
-    expand_star_items,
-    finalize_distinct_key,
-    output_names,
-)
+from repro.relational.finalize import build_finalization
+from repro.relational.operators import Filter, PhysicalOperator, TableScan
+from repro.relational.query import QueryProcessor
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import Schema
 from repro.relational.types import sort_key as value_sort_key
-from repro.sql.ast import (
-    ColumnRef,
-    InList,
-    Literal,
-    Select,
-    conjoin,
-    is_aggregate_call,
-    walk,
-)
+from repro.sql.ast import ColumnRef, InList, Literal, conjoin
 
 
 def _relation_bytes(relation: Relation) -> int:
@@ -700,102 +679,12 @@ class ResultStream:
                 Filter(pipeline, conjoin(list(branch.post_join_conditions)))
             )
 
-        streaming = self._streaming_finalizer(branch, pipeline, instrument)
-        if streaming is not None:
-            return streaming
-        # Grouped/aggregated (or alias-opaque ORDER BY) branches: finalize
-        # with the materializing processor — semantics identical to the eager
-        # path, streamed to the consumer as one branch-sized chunk.
-        relation = self._processor.finalize_select(
-            branch.select, list(pipeline), pipeline.schema
+        operator = build_finalization(
+            branch.select, pipeline,
+            self._processor.subquery_executor(pipeline.schema),
+            budget=self.budget, top_k=branch.fetch_limit, instrument=instrument,
         )
-        return iter(relation.rows), relation.schema
-
-    def _streaming_finalizer(self, branch: BranchPlan, pipeline: PhysicalOperator,
-                             instrument: Callable[[PhysicalOperator], PhysicalOperator],
-                             ) -> Optional[Tuple[Iterator[Row], Schema]]:
-        """Build the operator form of SELECT finalization, when it streams.
-
-        Mirrors ``QueryProcessor.finalize_select`` exactly for the eligible
-        shape: no GROUP BY, no aggregates, no HAVING, and every ORDER BY key
-        resolvable against the *output* row (alias or 1-based position).
-        Anything else returns None and finalizes materialized.
-        """
-        select: Select = branch.select
-        has_aggregates = any(
-            is_aggregate_call(node)
-            for item in select.items
-            for node in walk(item.expr)
-        )
-        if select.group_by or has_aggregates or select.having is not None:
-            return None
-
-        items = expand_star_items(list(select.items), pipeline.schema)
-        names = output_names(items)
-        subquery_executor = self._processor._subquery_executor
-        project = Project(pipeline, [item.expr for item in items], names,
-                          subquery_executor)
-        output_schema = project.schema
-        operator: PhysicalOperator = instrument(project)
-
-        if select.order_by:
-            alias_positions = {
-                name.lower(): index
-                for index, name in enumerate(output_schema.names)
-            }
-            # An ORDER BY key structurally identical to a projected expression
-            # yields exactly the value sitting at that output position, so it
-            # can be ordered post-projection without the source context row.
-            expression_positions: Dict[object, int] = {}
-            for index, item in enumerate(items):
-                expression_positions.setdefault(item.expr, index)
-            key_functions: List[Tuple[Callable[[Row], object], bool]] = []
-            for item in select.order_by:
-                expr = item.expr
-                position: Optional[int] = None
-                if (isinstance(expr, ColumnRef) and expr.table is None
-                        and expr.name.lower() in alias_positions):
-                    position = alias_positions[expr.name.lower()]
-                elif (isinstance(expr, Literal) and isinstance(expr.value, int)
-                        and not isinstance(expr.value, bool)):
-                    literal_position = expr.value - 1
-
-                    def positional(row: Row, position=literal_position,
-                                   literal=expr.value):
-                        if 0 <= position < len(row):
-                            return value_sort_key(row[position])
-                        return value_sort_key(literal)
-
-                    key_functions.append((positional, item.ascending))
-                    continue
-                elif expr in expression_positions:
-                    position = expression_positions[expr]
-                if position is None:
-                    # The key needs the pre-projection context row; only the
-                    # materializing finalizer carries that context.
-                    return None
-                key_functions.append((
-                    lambda row, position=position: value_sort_key(row[position]),
-                    item.ascending,
-                ))
-            top_k = branch.fetch_limit if not select.distinct else None
-            operator = instrument(Sort(
-                operator,
-                [(item.expr, item.ascending) for item in select.order_by],
-                key_functions=key_functions,
-                budget=self.budget,
-                limit=top_k,
-            ))
-
-        if select.distinct:
-            operator = instrument(Distinct(
-                operator, budget=self.budget, key=finalize_distinct_key
-            ))
-
-        if select.limit is not None or select.offset is not None:
-            operator = instrument(Limit(operator, select.limit, select.offset or 0))
-
-        return iter(operator), output_schema
+        return iter(operator), operator.schema
 
     def _ensure_first_branch(self) -> None:
         """Build the first *surviving* branch (partial mode skips dead ones)."""

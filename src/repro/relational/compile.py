@@ -61,8 +61,10 @@ from repro.sql.ast import (
     Star,
     Subquery,
     UnaryOp,
+    is_aggregate_call,
     walk,
 )
+from repro.sql.printer import to_sql
 
 Row = Sequence[Any]
 CompiledExpr = Callable[[Row], Any]
@@ -84,10 +86,22 @@ _ARITHMETIC_OPS: dict = {
 }
 
 
+#: Qualifier of the columns :class:`~repro.relational.operators.Aggregate`
+#: appends to its input schema: one per aggregate call, named by the call's
+#: SQL text.  A compiled aggregate call reads its slot like a column.
+AGGREGATE_QUALIFIER = "$aggregate"
+
+
+def aggregate_slot_name(call: FunctionCall) -> str:
+    """The column name holding ``call``'s value in an aggregate row."""
+    return to_sql(call)
+
+
 def _is_constant(node: Node) -> bool:
     """True when no descendant depends on the row (safe to fold)."""
     return not any(
-        isinstance(n, (ColumnRef, Star, Subquery, Exists)) for n in walk(node)
+        isinstance(n, (ColumnRef, Star, Subquery, Exists)) or is_aggregate_call(n)
+        for n in walk(node)
     )
 
 
@@ -569,6 +583,11 @@ class ExpressionCompiler:
     # -- functions and predicates ----------------------------------------------
 
     def _function(self, node: FunctionCall) -> CompiledExpr:
+        if is_aggregate_call(node):
+            slot = aggregate_slot_name(node)
+            for index, attribute in enumerate(self.schema):
+                if attribute.qualifier == AGGREGATE_QUALIFIER and attribute.name == slot:
+                    return lambda row: row[index]
         name = node.name.upper()
         fn = _SCALAR_FUNCTIONS.get(name)
         if fn is None:

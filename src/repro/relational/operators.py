@@ -21,13 +21,17 @@ import heapq
 from decimal import Decimal
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import ExecutionError
+from repro.errors import EvaluationError, ExecutionError
 from repro.relational.budget import MemoryBudget, SpillFile, estimate_row_bytes
-from repro.relational.compile import ExpressionCompiler
+from repro.relational.compile import (
+    AGGREGATE_QUALIFIER,
+    ExpressionCompiler,
+    aggregate_slot_name,
+)
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import Attribute, Schema
-from repro.relational.types import DataType, sort_key
-from repro.sql.ast import Node
+from repro.relational.types import DataType, sort_key, value_key
+from repro.sql.ast import FunctionCall, Node, Star
 
 
 class PhysicalOperator:
@@ -178,6 +182,155 @@ class Project(PhysicalOperator):
 
     def _explain_details(self) -> str:
         return f"({', '.join(self.names)})"
+
+
+class Aggregate(PhysicalOperator):
+    """GROUP BY with aggregates and HAVING, then the select list (blocking).
+
+    Groups come out in first-occurrence order; with no GROUP BY the whole
+    input is one group, even when empty (``COUNT(*)`` = 0).  HAVING and the
+    output ``expressions`` are compiled once against the *aggregate row*: the
+    group's first input row followed by one column per aggregate call (see
+    :data:`~repro.relational.compile.AGGREGATE_QUALIFIER`), so a bare column
+    reads the representative row and an aggregate call reads its value.
+    """
+
+    operator_name = "Aggregate"
+
+    def __init__(self, child: PhysicalOperator, group_by: Sequence[Node],
+                 calls: Sequence[FunctionCall], expressions: Sequence[Node],
+                 names: Sequence[str], having: Optional[Node] = None,
+                 subquery_executor: Optional[Callable[[Node], Relation]] = None):
+        from repro.relational.eval import expression_type
+
+        self.child = child
+        self.group_by = list(group_by)
+        self.calls = list(calls)
+        self.having = having
+        self.names = list(names)
+        compiler = ExpressionCompiler(child.schema, subquery_executor)
+        self._key_fns = [compiler.compile(expr) for expr in self.group_by]
+        self._arg_fns = [
+            compiler.compile(call.args[0])
+            if call.args and not isinstance(call.args[0], Star) else None
+            for call in self.calls
+        ]
+        aggregate_schema = child.schema.concat(Schema(
+            Attribute(name=aggregate_slot_name(call),
+                      type=expression_type(call, child.schema),
+                      qualifier=AGGREGATE_QUALIFIER)
+            for call in self.calls
+        ))
+        group_compiler = ExpressionCompiler(aggregate_schema, subquery_executor)
+        self._having = group_compiler.predicate(having) if having is not None else None
+        self._project = group_compiler.projection(expressions)
+        self._schema = Schema(
+            Attribute(name=name, type=expression_type(expr, child.schema))
+            for name, expr in zip(self.names, expressions)
+        )
+
+    @property
+    def schema(self) -> Schema:
+        return self._schema
+
+    @property
+    def children(self) -> Sequence[PhysicalOperator]:
+        return (self.child,)
+
+    def __iter__(self) -> Iterator[Row]:
+        key_fns = self._key_fns
+        arg_fns = self._arg_fns
+        # key -> [representative row, row count, per-call non-NULL values]
+        groups: Dict[Tuple, list] = {}
+        for row in self.child:
+            key = tuple(value_key(fn(row)) for fn in key_fns)
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = [row, 0, [None if fn is None else [] for fn in arg_fns]]
+            group[1] += 1
+            values = group[2]
+            for index, fn in enumerate(arg_fns):
+                if fn is not None:
+                    value = fn(row)
+                    if value is not None:
+                        values[index].append(value)
+        if not key_fns and not groups:
+            groups[()] = [tuple([None] * len(self.child.schema)), 0,
+                          [None if fn is None else [] for fn in arg_fns]]
+
+        having = self._having
+        project = self._project
+        for representative, count, values in groups.values():
+            row = representative + tuple(
+                _fold_aggregate(call, count, call_values)
+                for call, call_values in zip(self.calls, values)
+            )
+            if having is None or having(row) is True:
+                yield project(row)
+
+    def _explain_details(self) -> str:
+        from repro.sql.printer import to_sql
+
+        keys = ", ".join(to_sql(expr) for expr in self.group_by)
+        return f"({keys}; {', '.join(self.names)})"
+
+
+def _fold_aggregate(call: FunctionCall, count: int, values: Optional[List[Any]]) -> Any:
+    """One aggregate's value over a group: ``count`` rows, of which ``values``
+    are the argument's non-NULL values (None when the argument is ``*``)."""
+    name = call.name.upper()
+    if name == "COUNT" and (not call.args or isinstance(call.args[0], Star)):
+        return count
+    if not call.args:
+        raise EvaluationError(f"aggregate {name} requires an argument")
+    if values is None:
+        raise EvaluationError("'*' is only valid inside COUNT(*) or a select list")
+    if call.distinct:
+        seen: List[Any] = []
+        for value in values:
+            if value not in seen:
+                seen.append(value)
+        values = seen
+    if name == "COUNT":
+        return len(values)
+    if not values:
+        return None
+    if name == "SUM":
+        return sum(values)
+    if name == "AVG":
+        return sum(values) / len(values)
+    if name == "MIN":
+        return min(values)
+    if name == "MAX":
+        return max(values)
+    raise EvaluationError(f"unknown aggregate {name}")
+
+
+class Trim(PhysicalOperator):
+    """Keep the first ``width`` columns (drops hidden ORDER BY keys)."""
+
+    operator_name = "Trim"
+
+    def __init__(self, child: PhysicalOperator, width: int):
+        self.child = child
+        self.width = width
+        self._schema = Schema(child.schema.attributes[:width])
+
+    @property
+    def schema(self) -> Schema:
+        return self._schema
+
+    @property
+    def children(self) -> Sequence[PhysicalOperator]:
+        return (self.child,)
+
+    def __iter__(self) -> Iterator[Row]:
+        width = self.width
+        for row in self.child:
+            yield row[:width]
+
+    def _explain_details(self) -> str:
+        return f"({self.width} columns)"
 
 
 class CrossProduct(PhysicalOperator):
@@ -604,7 +757,7 @@ class Sort(PhysicalOperator):
       that never spills.
 
     ``key_functions`` overrides the compiled per-key functions — an aligned
-    list of ``(row -> orderable, ascending)`` pairs — used by the streaming
+    list of ``(row -> orderable, ascending)`` pairs — used by the SELECT
     finalizer to order by output positions instead of expressions.
     """
 

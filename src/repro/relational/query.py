@@ -13,17 +13,19 @@ Supported: SELECT (DISTINCT) with expressions and aliases, FROM with
 comma-joins, explicit INNER/LEFT/CROSS joins and derived tables, WHERE,
 GROUP BY + aggregates (COUNT/SUM/AVG/MIN/MAX) with HAVING, ORDER BY,
 LIMIT/OFFSET, UNION/UNION ALL, uncorrelated IN/EXISTS/scalar subqueries, and
-the CREATE TABLE / INSERT statements used to load demo data.
+the CREATE TABLE / INSERT statements used to load demo data.  Everything
+after FROM/WHERE is the operator chain :mod:`repro.relational.finalize`
+builds, the same one the streaming engine runs.
 """
 
 from __future__ import annotations
 
-from decimal import Decimal
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.errors import EvaluationError, ExecutionError, SchemaError, SQLUnsupportedError
+from repro.errors import ExecutionError, SchemaError, SQLUnsupportedError
 from repro.relational.compile import ExpressionCompiler
-from repro.relational.eval import ExpressionEvaluator, expression_type
+from repro.relational.finalize import build_finalization, commuting_limit
+from repro.relational.operators import Filter, HashJoin, PhysicalOperator, TableScan
 from repro.relational.relation import Relation, Row
 from repro.relational.schema import Attribute, Schema
 from repro.relational.types import DataType
@@ -31,19 +33,14 @@ from repro.sql.ast import (
     BinaryOp,
     ColumnRef,
     CreateTable,
-    FunctionCall,
     Insert,
     Join,
-    Literal,
     Node,
     Select,
-    SelectItem,
-    Star,
-    Statement,
+    Subquery,
     TableRef,
     Union,
-    is_aggregate_call,
-    walk,
+    conjuncts,
 )
 from repro.sql.parser import DerivedTable, parse
 from repro.sql.printer import to_sql
@@ -87,39 +84,6 @@ class QueryProcessor:
             return self._execute_union(statement)
         raise SQLUnsupportedError(f"cannot execute statement of type {type(statement).__name__}")
 
-    def finalize_select(self, select: Select, rows: List[Row], schema: Schema) -> Relation:
-        """Finish a SELECT whose FROM/WHERE phases were evaluated elsewhere.
-
-        The multi-database engine stages and joins source results itself (its
-        "local operations"); it then hands the joined rows plus their combined
-        schema to this method, which applies the remaining phases — grouping
-        and aggregates, HAVING, the select list, DISTINCT, ORDER BY and
-        LIMIT — with semantics identical to :meth:`execute`.
-        """
-        has_aggregates = any(
-            is_aggregate_call(node)
-            for item in select.items
-            for node in walk(item.expr)
-        ) or (select.having is not None and any(is_aggregate_call(n) for n in walk(select.having)))
-
-        if select.group_by or has_aggregates:
-            output_rows, output_schema, _context = self._execute_grouped(select, rows, schema)
-        else:
-            output_rows, output_schema, _context = self._execute_flat(select, rows, schema)
-
-        if select.order_by:
-            output_rows = self._order_rows(select, output_rows, output_schema, schema)
-        if select.distinct:
-            output_rows = _distinct_rows(output_rows)
-        if select.limit is not None or select.offset is not None:
-            offset = select.offset or 0
-            end = None if select.limit is None else offset + select.limit
-            output_rows = output_rows[offset:end]
-
-        result = Relation(output_schema)
-        result.rows = [row for row, _context_row in output_rows]
-        return result
-
     # -- UNION ---------------------------------------------------------------
 
     def _execute_union(self, statement: Union) -> Relation:
@@ -134,47 +98,21 @@ class QueryProcessor:
 
     # -- SELECT ---------------------------------------------------------------
 
-    def _execute_select(self, select: Select) -> Relation:
-        source_relation, source_schema = self._build_from(select)
-
-        rows = source_relation
-
+    def _execute_select(self, select: Select, scopes: Tuple[Schema, ...] = ()) -> Relation:
+        """Run one SELECT; ``scopes`` are the FROM schemas of the queries
+        enclosing it when it is a subquery (innermost first)."""
+        rows, schema = self._build_from(select)
+        if scopes:
+            _reject_correlation(select, schema, scopes)
+        subqueries = self.subquery_executor(schema, scopes)
+        source = Relation(schema, name="from", validate=False)
+        source.rows = rows
+        operator: PhysicalOperator = TableScan(source)
         if select.where is not None:
-            predicate = ExpressionCompiler(
-                source_schema, self._subquery_executor
-            ).predicate(select.where)
-            rows = [row for row in rows if predicate(row) is True]
-
-        has_aggregates = any(
-            is_aggregate_call(node)
-            for item in select.items
-            for node in walk(item.expr)
-        ) or (select.having is not None and any(is_aggregate_call(n) for n in walk(select.having)))
-
-        if select.group_by or has_aggregates:
-            output_rows, output_schema, order_context = self._execute_grouped(
-                select, rows, source_schema
-            )
-        else:
-            output_rows, output_schema, order_context = self._execute_flat(
-                select, rows, source_schema
-            )
-
-        # ORDER BY: keys may reference output aliases or source columns.
-        if select.order_by:
-            output_rows = self._order_rows(select, output_rows, output_schema, order_context)
-
-        if select.distinct:
-            output_rows = _distinct_rows(output_rows)
-
-        if select.limit is not None or select.offset is not None:
-            offset = select.offset or 0
-            end = None if select.limit is None else offset + select.limit
-            output_rows = output_rows[offset:end]
-
-        result = Relation(output_schema)
-        result.rows = [row for row, _context in output_rows]
-        return result
+            operator = Filter(operator, select.where, subqueries)
+        return build_finalization(
+            select, operator, subqueries, top_k=commuting_limit(select)
+        ).to_relation()
 
     # -- FROM clause -----------------------------------------------------------
 
@@ -222,7 +160,7 @@ class QueryProcessor:
                 return hashed, schema
 
         predicate = (
-            ExpressionCompiler(schema, self._subquery_executor).predicate(node.condition)
+            ExpressionCompiler(schema, self.subquery_executor(schema)).predicate(node.condition)
             if node.condition is not None else None
         )
 
@@ -276,9 +214,6 @@ class QueryProcessor:
         the nested loop's.  Boolean key values force the nested-loop fallback:
         SQL equality coerces booleans against *any* number (``True = 2`` is
         true), which no bucket normalization can reproduce."""
-        from repro.relational.operators import HashJoin, TableScan
-        from repro.sql.ast import conjuncts
-
         combined_schema = left_schema.concat(right_schema)
 
         def side_of(ref: ColumnRef) -> Optional[str]:
@@ -330,268 +265,40 @@ class QueryProcessor:
         join = HashJoin(
             TableScan(left_relation), TableScan(right_relation),
             left_keys, right_keys, residual=condition,
-            subquery_executor=self._subquery_executor,
+            subquery_executor=self.subquery_executor(combined_schema),
         )
         return list(join)
 
-    # -- flat (non-grouped) SELECT ----------------------------------------------
-
-    def _execute_flat(self, select: Select, rows: List[Row], schema: Schema):
-        items = self._expand_stars(select.items, schema)
-        project = ExpressionCompiler(schema, self._subquery_executor).projection(
-            [item.expr for item in items]
-        )
-        names = _output_names(items)
-        output_schema = Schema(
-            Attribute(name=name, type=expression_type(item.expr, schema))
-            for name, item in zip(names, items)
-        )
-        return [(project(row), row) for row in rows], output_schema, schema
-
-    # -- grouped SELECT -----------------------------------------------------------
-
-    def _execute_grouped(self, select: Select, rows: List[Row], schema: Schema):
-        items = self._expand_stars(select.items, schema)
-        compiler = ExpressionCompiler(schema, self._subquery_executor)
-        key_fns = [compiler.compile(expr) for expr in select.group_by]
-
-        # Group rows by the GROUP BY key (a single global group when absent).
-        groups: Dict[Tuple, List[Row]] = {}
-        group_order: List[Tuple] = []
-        for row in rows:
-            key = tuple(_group_key(fn(row)) for fn in key_fns)
-            if key not in groups:
-                groups[key] = []
-                group_order.append(key)
-            groups[key].append(row)
-        if not select.group_by and not groups:
-            # Aggregates over an empty input still produce one row (COUNT = 0).
-            groups[()] = []
-            group_order.append(())
-
-        # Collect every aggregate call appearing in the outputs and HAVING.
-        aggregate_calls: List[FunctionCall] = []
-        for item in items:
-            aggregate_calls.extend(n for n in walk(item.expr) if is_aggregate_call(n))
-        if select.having is not None:
-            aggregate_calls.extend(n for n in walk(select.having) if is_aggregate_call(n))
-
-        names = _output_names(items)
-        output_schema = Schema(
-            Attribute(name=name, type=expression_type(item.expr, schema))
-            for name, item in zip(names, items)
-        )
-
-        # Compile each distinct aggregate's argument once, not once per group.
-        compiled_calls = []
-        for call in aggregate_calls:
-            signature = _call_signature(call)
-            arg_fn = (
-                compiler.compile(call.args[0])
-                if call.args and not isinstance(call.args[0], Star) else None
-            )
-            compiled_calls.append((signature, call, arg_fn))
-
-        output: List[Tuple[Row, Row]] = []
-        for key in group_order:
-            group_rows = groups[key]
-            aggregates = {
-                signature: _compute_aggregate(call, group_rows, arg_fn)
-                for signature, call, arg_fn in compiled_calls
-            }
-            group_evaluator = _GroupEvaluator(schema, aggregates, group_rows, self._subquery_executor)
-
-            if select.having is not None:
-                keep = group_evaluator.predicate(select.having)(_representative(group_rows, schema))
-                if keep is not True:
-                    continue
-
-            representative = _representative(group_rows, schema)
-            values = tuple(
-                group_evaluator.evaluate(item.expr, representative) for item in items
-            )
-            output.append((values, representative))
-        return output, output_schema, schema
-
-    # -- ORDER BY -------------------------------------------------------------------
-
-    def _order_rows(self, select: Select, output_rows, output_schema: Schema, schema: Schema):
-        from repro.relational.types import sort_key as value_sort_key
-
-        alias_positions = {name.lower(): index for index, name in enumerate(output_schema.names)}
-        compiler = ExpressionCompiler(schema, self._subquery_executor)
-
-        def key_fn_for(order_expr: Node) -> Callable[[Tuple[Row, Row]], Any]:
-            """Resolve one ORDER BY key to a (output_row, context_row) -> key."""
-            # An unqualified column name matching an output alias refers to it.
-            if isinstance(order_expr, ColumnRef) and order_expr.table is None:
-                position = alias_positions.get(order_expr.name.lower())
-                if position is not None:
-                    return lambda pair: value_sort_key(pair[0][position])
-            # A literal integer is a 1-based output position, per SQL convention.
-            if isinstance(order_expr, Literal) and isinstance(order_expr.value, int):
-                literal_position = order_expr.value - 1
-
-                def positional(pair):
-                    if 0 <= literal_position < len(pair[0]):
-                        return value_sort_key(pair[0][literal_position])
-                    return value_sort_key(order_expr.value)
-
-                return positional
-            compiled = compiler.compile(order_expr)
-            return lambda pair: value_sort_key(compiled(pair[1]))
-
-        rows = list(output_rows)
-        for order_item in reversed(select.order_by):
-            rows.sort(key=key_fn_for(order_item.expr), reverse=not order_item.ascending)
-        return rows
-
-    # -- helpers ---------------------------------------------------------------------
-
-    def _expand_stars(self, items: Sequence[SelectItem], schema: Schema) -> List[SelectItem]:
-        return expand_star_items(items, schema)
-
-    def _subquery_executor(self, select: Select) -> Relation:
-        """Execute an uncorrelated subquery (correlation is not supported)."""
-        return self._execute_select(select)
+    def subquery_executor(self, schema: Schema,
+                          scopes: Tuple[Schema, ...] = ()) -> Callable[[Select], Relation]:
+        """The executor for subqueries of a query whose FROM schema is ``schema``."""
+        inner_scopes = (schema,) + scopes
+        return lambda select: self._execute_select(select, inner_scopes)
 
 
-# ---------------------------------------------------------------------------
-# Finalization helpers shared with the streaming executor
-# ---------------------------------------------------------------------------
+def _reject_correlation(select: Select, schema: Schema, scopes: Tuple[Schema, ...]) -> None:
+    """Raise SQLUnsupportedError for a subquery column that only an enclosing
+    query can resolve; a column no scope knows is left to fail as unknown."""
 
+    def references(node: Node):
+        if isinstance(node, (Subquery, DerivedTable)):
+            return
+        if isinstance(node, ColumnRef):
+            yield node
+        for child in node.children():
+            yield from references(child)
 
-def expand_star_items(items: Sequence[SelectItem], schema: Schema) -> List[SelectItem]:
-    """Expand ``*`` / ``t.*`` select items against the input schema."""
-    expanded: List[SelectItem] = []
-    for item in items:
-        if isinstance(item.expr, Star):
-            table = item.expr.table
-            for attribute in schema:
-                if table is None or (attribute.qualifier or "").lower() == table.lower():
-                    expanded.append(
-                        SelectItem(ColumnRef(name=attribute.name, table=attribute.qualifier))
-                    )
-            if not expanded:
-                raise SchemaError(f"'*' expansion found no columns for {table!r}")
-        else:
-            expanded.append(item)
-    return expanded
-
-
-def output_names(items: Sequence[SelectItem]) -> List[str]:
-    """Public name of :func:`_output_names` (select-list output columns)."""
-    return _output_names(items)
-
-
-def finalize_distinct_key(row: Sequence[Any]) -> Tuple:
-    """The duplicate-detection key SELECT DISTINCT finalization uses.
-
-    The streaming executor's Distinct operator must use exactly this key so
-    streamed answers are byte-identical to the materialized finalizer's.
-    """
-    return tuple(_group_key(value) for value in row)
-
-
-# ---------------------------------------------------------------------------
-# Aggregation helpers
-# ---------------------------------------------------------------------------
-
-
-def _call_signature(call: FunctionCall) -> str:
-    """A structural key identifying an aggregate call (COUNT(*) vs COUNT(x)...)."""
-    return to_sql(call)
-
-
-def _compute_aggregate(call: FunctionCall, rows: List[Row], arg_fn) -> Any:
-    """Compute one aggregate over a group; ``arg_fn`` is the compiled argument
-    expression (None for COUNT(*) / argument-less calls)."""
-    name = call.name.upper()
-    if name == "COUNT" and (not call.args or isinstance(call.args[0], Star)):
-        return len(rows)
-
-    if not call.args:
-        raise EvaluationError(f"aggregate {name} requires an argument")
-    if arg_fn is None:
-        raise EvaluationError("'*' is only valid inside COUNT(*) or a select list")
-    values = [value for value in (arg_fn(row) for row in rows) if value is not None]
-    if call.distinct:
-        seen = []
-        for value in values:
-            if value not in seen:
-                seen.append(value)
-        values = seen
-
-    if name == "COUNT":
-        return len(values)
-    if not values:
-        return None
-    if name == "SUM":
-        return sum(values)
-    if name == "AVG":
-        return sum(values) / len(values)
-    if name == "MIN":
-        return min(values)
-    if name == "MAX":
-        return max(values)
-    raise EvaluationError(f"unknown aggregate {name}")
-
-
-class _GroupEvaluator(ExpressionEvaluator):
-    """An evaluator that substitutes pre-computed values for aggregate calls."""
-
-    def __init__(self, schema: Schema, aggregates: Dict[str, Any], group_rows: List[Row],
-                 subquery_executor=None):
-        super().__init__(schema, subquery_executor)
-        self._aggregates = aggregates
-        self._group_rows = group_rows
-
-    def _eval(self, node: Node, row: Row) -> Any:
-        if is_aggregate_call(node):
-            signature = _call_signature(node)  # type: ignore[arg-type]
-            if signature in self._aggregates:
-                return self._aggregates[signature]
-        return super()._eval(node, row)
-
-
-def _representative(group_rows: List[Row], schema: Schema) -> Row:
-    """A row standing in for the group when evaluating non-aggregate expressions."""
-    if group_rows:
-        return group_rows[0]
-    return tuple([None] * len(schema))
-
-
-def _group_key(value: Any) -> Any:
-    if isinstance(value, bool):
-        return ("b", value)
-    if isinstance(value, (int, float, Decimal)):
-        return ("n", float(value))
-    if value is None:
-        return ("null",)
-    return ("s", str(value))
-
-
-def _output_names(items: Sequence[SelectItem]) -> List[str]:
-    names: List[str] = []
-    for index, item in enumerate(items):
-        if item.alias:
-            names.append(item.alias)
-        elif isinstance(item.expr, ColumnRef):
-            names.append(item.expr.name)
-        else:
-            names.append(f"col_{index + 1}")
-    return names
-
-
-def _distinct_rows(output_rows):
-    seen = set()
-    result = []
-    for values, context in output_rows:
-        key = tuple(_group_key(value) for value in values)
-        if key not in seen:
-            seen.add(key)
-            result.append((values, context))
-    return result
+    clauses = list(select.items) + list(select.group_by)
+    clauses += [clause for clause in (select.where, select.having) if clause is not None]
+    for clause in clauses:
+        for ref in references(clause):
+            if not schema.has(ref.name, ref.table) and any(
+                scope.has(ref.name, ref.table) for scope in scopes
+            ):
+                raise SQLUnsupportedError(
+                    f"correlated subqueries are not supported: {to_sql(ref)} "
+                    "refers to a column of the enclosing query"
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -188,3 +188,15 @@ def sort_key(value: Any) -> tuple:
     if isinstance(value, _Decimal):
         return (1, float(value), "")
     return (2, 0, str(value))
+
+
+def value_key(value: Any) -> tuple:
+    """The equality key GROUP BY and SELECT DISTINCT use: numerics of any
+    type compare by value, everything else by its string form."""
+    if isinstance(value, bool):
+        return ("b", value)
+    if isinstance(value, (int, float, _Decimal)):
+        return ("n", float(value))
+    if value is None:
+        return ("null",)
+    return ("s", str(value))

@@ -277,15 +277,21 @@ class Select(Node):
     @property
     def output_names(self) -> List[str]:
         """The column names of the result, using aliases when present."""
-        names: List[str] = []
-        for index, item in enumerate(self.items):
-            if item.alias:
-                names.append(item.alias)
-            elif isinstance(item.expr, ColumnRef):
-                names.append(item.expr.name)
-            else:
-                names.append(f"col_{index + 1}")
-        return names
+        return item_names(self.items)
+
+
+def item_names(items: Sequence[SelectItem]) -> List[str]:
+    """Output column names of a select list: the alias, else a bare column's
+    name, else ``col_<position>``."""
+    names: List[str] = []
+    for index, item in enumerate(items):
+        if item.alias:
+            names.append(item.alias)
+        elif isinstance(item.expr, ColumnRef):
+            names.append(item.expr.name)
+        else:
+            names.append(f"col_{index + 1}")
+    return names
 
 
 @dataclass(frozen=True)

@@ -218,18 +218,3 @@ class TestProcessorMisc:
         processor = QueryProcessor.over_tables(dict(db.tables))
         with pytest.raises(SQLUnsupportedError):
             processor.execute("CREATE TABLE z (a integer)")
-
-    def test_finalize_select_matches_execute(self, db):
-        """finalize_select over pre-joined rows equals a normal execution."""
-        from repro.sql.parser import parse
-
-        select = parse(
-            "SELECT r1.currency, COUNT(*) AS n FROM r1 GROUP BY r1.currency ORDER BY n DESC, r1.currency"
-        )
-        processor = QueryProcessor.over_tables(dict(db.tables))
-        expected = processor.execute(select)
-
-        rows = list(db.table("r1").rows)
-        schema = db.table("r1").schema.with_qualifier("r1")
-        finalized = processor.finalize_select(select, rows, schema)
-        assert finalized.rows == expected.rows
