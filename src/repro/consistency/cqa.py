@@ -39,11 +39,11 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConsistencyError, PlanningError, RepairEnumerationError
 from repro.consistency.constraints import PrimaryKey
-from repro.engine.executor import EngineResult, ExecutionReport
+from repro.engine.executor import EngineResult, ExecutionReport, RowStream
 from repro.relational.compile import ExpressionCompiler
 from repro.relational.eval import expression_type
 from repro.relational.finalize import expand_star_items
@@ -100,79 +100,18 @@ class _BranchAnalysis:
     ineligible: Optional[str] = None
 
 
-class MaterializedStream:
+class MaterializedStream(RowStream):
     """A stream-shaped view over already-computed rows.
 
     Consistent answers are group- or repair-quantified, so they cannot leave
     before the quantification completes; this adapter lets ``stream=True``
     consumers (cursors, the chunked HTTP endpoint, the ODBC driver) drive
-    them through the exact same fetch surface as a live
-    :class:`~repro.engine.stream.ResultStream`.
+    them through the same :class:`~repro.engine.executor.RowStream` surface
+    as a live :class:`~repro.engine.executor.ResultStream`.
     """
 
     def __init__(self, relation: Relation, report: ExecutionReport):
-        self.schema = relation.schema
-        self.report = report
-        self._rows = list(relation.rows)
-        self._position = 0
-        self._closed = False
-        self._callbacks: List[Callable[[ExecutionReport], None]] = []
-
-    @property
-    def exhausted(self) -> bool:
-        return self._position >= len(self._rows)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def __iter__(self) -> "MaterializedStream":
-        return self
-
-    def __next__(self) -> Row:
-        if self.exhausted:
-            self.close()
-            raise StopIteration
-        row = self._rows[self._position]
-        self._position += 1
-        return row
-
-    def fetchone(self) -> Optional[Row]:
-        try:
-            return next(self)
-        except StopIteration:
-            return None
-
-    def fetchmany(self, size: int = 1) -> List[Row]:
-        rows = []
-        for _ in range(max(0, size)):
-            row = self.fetchone()
-            if row is None:
-                break
-            rows.append(row)
-        return rows
-
-    def fetchall(self) -> List[Row]:
-        rows = self._rows[self._position:]
-        self._position = len(self._rows)
-        self.close()
-        return rows
-
-    def to_relation(self, name: Optional[str] = None) -> Relation:
-        relation = Relation(self.schema, name=name)
-        relation.rows = self.fetchall()
-        return relation
-
-    def on_close(self, callback: Callable[[ExecutionReport], None]) -> None:
-        self._callbacks.append(callback)
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self.report)
+        super().__init__(report, iter(list(relation.rows)), schema=relation.schema)
 
 
 class ConsistentQueryExecutor:

@@ -23,6 +23,7 @@ from repro.engine.executor import (
     DEFAULT_MAX_CONCURRENT_REQUESTS,
     EngineResult,
     ExecutionController,
+    ResultStream,
 )
 from repro.engine.resilience import Deadline, HealthProber, ResiliencePolicy
 from repro.engine.plan import QueryPlan
@@ -101,11 +102,8 @@ class EngineStatistics:
         """
         with report.lock:
             source_requests = len(report.requests)
-            rows_transferred = sum(
-                request.rows_returned for request in report.requests
-                if not request.dedup_hit and not request.cache_hit
-            )
-            source_round_trips = report.distinct_requests - report.cache_hits
+            rows_transferred = report.rows_transferred
+            source_round_trips = report.source_round_trips
             dedup_hits = report.dedup_hits
             cache_hits = report.cache_hits
             rows_returned = report.result_rows
@@ -284,46 +282,39 @@ class MultiDatabaseEngine:
         executions (the CQA executor does).  ``on_source_error="partial"``
         answers from the surviving branches when a source stays dead.
         """
-        if isinstance(statement, QueryPlan):
-            plan = statement
-        else:
-            plan = self.plan(statement)
-        if deadline is None:
-            deadline = self.controller.resilience.deadline(timeout_seconds)
-        # Drain through a stream with the fold attached to close, so a failed
-        # statement still books its retries, failed requests and breaker
-        # rejections — the streaming path already accounts this way.
-        stream = self.controller.execute_stream(plan, deadline=deadline,
-                                                on_source_error=on_source_error)
-        stream.on_close(self.statistics.record_execution)
-        try:
-            relation = stream.to_relation()
-            return EngineResult(relation=relation, plan=plan, report=stream.report)
-        finally:
-            stream.close()
+        with self._open_stream(statement, timeout_seconds, on_source_error,
+                               deadline) as stream:
+            return EngineResult(relation=stream.to_relation(), plan=stream.plan,
+                                report=stream.report)
 
     def execute_stream(self, statement: TUnion[str, Statement, QueryPlan],
                        timeout_seconds: Optional[float] = None,
                        on_source_error: str = "fail",
-                       deadline: Optional[Deadline] = None):
+                       deadline: Optional[Deadline] = None) -> ResultStream:
         """Plan (if needed) and open a pull-based cursor over the result.
 
-        Returns a :class:`~repro.engine.stream.ResultStream`; the engine's
-        aggregate statistics fold the execution report in when the stream
-        finishes (exhaustion or :meth:`~repro.engine.stream.ResultStream.close`).
-        ``timeout_seconds`` / ``on_source_error`` behave as in
+        The engine's aggregate statistics fold the execution report in when
+        the stream finishes (exhaustion or ``close()``).
+        ``timeout_seconds`` / ``on_source_error`` / ``deadline`` behave as in
         :meth:`execute`; the deadline also covers streaming finalization,
         so a stalled consumer-side pull fails rather than hangs.
         """
-        if isinstance(statement, QueryPlan):
-            plan = statement
-        else:
-            plan = self.plan(statement)
+        stream = self._open_stream(statement, timeout_seconds, on_source_error,
+                                   deadline)
+        self.statistics.record_stream_opened()
+        return stream
+
+    def _open_stream(self, statement: TUnion[str, Statement, QueryPlan],
+                     timeout_seconds: Optional[float], on_source_error: str,
+                     deadline: Optional[Deadline]) -> ResultStream:
+        """Open the statement's stream with the statistics fold on close, so
+        a failed statement still books its retries, failed requests and
+        breaker rejections."""
+        plan = statement if isinstance(statement, QueryPlan) else self.plan(statement)
         if deadline is None:
             deadline = self.controller.resilience.deadline(timeout_seconds)
         stream = self.controller.execute_stream(plan, deadline=deadline,
                                                 on_source_error=on_source_error)
-        self.statistics.record_stream_opened()
         stream.on_close(self.statistics.record_execution)
         return stream
 

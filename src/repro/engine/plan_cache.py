@@ -31,10 +31,10 @@ another — and thread-safe, matching the server's concurrent sessions.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Optional
+from typing import Optional
+
+from repro.engine.lru import LRUCache
 
 
 @dataclass(frozen=True)
@@ -54,27 +54,7 @@ class PlanCacheKey:
     feedback_epoch: int = 0
 
 
-@dataclass
-class PlanCacheStatistics:
-    """Counters describing one cache instance's traffic."""
-
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    evictions: int = 0
-    invalidations: int = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-        }
-
-
-class PlanCache:
+class PlanCache(LRUCache):
     """Bounded LRU of pipeline artifacts keyed by :class:`PlanCacheKey`.
 
     Generic over values on purpose: the pipeline keeps one instance for
@@ -84,35 +64,7 @@ class PlanCache:
     """
 
     def __init__(self, capacity: int = 128):
-        if capacity <= 0:
-            raise ValueError(f"cache capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.statistics = PlanCacheStatistics()
-
-    # -- access -----------------------------------------------------------------
-
-    def get(self, key: Hashable) -> Optional[Any]:
-        with self._lock:
-            value = self._entries.get(key)
-            if value is None:
-                self.statistics.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.statistics.hits += 1
-            return value
-
-    def put(self, key: Hashable, value: Any) -> None:
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            self.statistics.puts += 1
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.statistics.evictions += 1
-
-    # -- invalidation --------------------------------------------------------------
+        super().__init__(capacity)
 
     def prune(self, catalog_generation: Optional[int] = None,
               knowledge_generation: Optional[int] = None,
@@ -123,43 +75,13 @@ class PlanCache:
         the key); pruning just frees their slots eagerly.  Returns the number
         of dropped entries.
         """
-        with self._lock:
-            doomed = [
-                key for key in self._entries
-                if isinstance(key, PlanCacheKey) and (
-                    (catalog_generation is not None
-                     and key.catalog_generation != catalog_generation)
-                    or (knowledge_generation is not None
-                        and key.knowledge_generation != knowledge_generation)
-                    or (feedback_epoch is not None
-                        and key.feedback_epoch != feedback_epoch)
-                )
-            ]
-            for key in doomed:
-                del self._entries[key]
-            self.statistics.invalidations += len(doomed)
-            return len(doomed)
-
-    def clear(self) -> int:
-        """Drop everything; returns the number of dropped entries."""
-        with self._lock:
-            count = len(self._entries)
-            self._entries.clear()
-            self.statistics.invalidations += count
-            return count
-
-    # -- introspection ---------------------------------------------------------------
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def snapshot(self) -> Dict[str, int]:
-        data = self.statistics.snapshot()
-        data["entries"] = len(self)
-        data["capacity"] = self.capacity
-        return data
+        return self.drop_where(
+            lambda key: isinstance(key, PlanCacheKey) and (
+                (catalog_generation is not None
+                 and key.catalog_generation != catalog_generation)
+                or (knowledge_generation is not None
+                    and key.knowledge_generation != knowledge_generation)
+                or (feedback_epoch is not None
+                    and key.feedback_epoch != feedback_epoch)
+            )
+        )

@@ -26,11 +26,10 @@ thread pool and records hits/misses from worker threads.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
+from repro.engine.lru import LRUCache
 from repro.relational.relation import Relation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (plan imports cost)
@@ -65,27 +64,7 @@ def request_key(request: "SourceRequest") -> RequestKey:
     )
 
 
-@dataclass
-class CacheStatistics:
-    """Counters describing one cache instance's traffic."""
-
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    evictions: int = 0
-    invalidations: int = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-        }
-
-
-class SourceResultCache:
+class SourceResultCache(LRUCache):
     """Bounded LRU cache of source results, keyed by canonical request.
 
     ``get``/``put`` are O(1); ``invalidate`` walks the (bounded) key set.  The
@@ -94,45 +73,23 @@ class SourceResultCache:
     """
 
     def __init__(self, capacity: int = 256):
-        if capacity <= 0:
-            raise ValueError(f"cache capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._entries: "OrderedDict[RequestKey, Relation]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.statistics = CacheStatistics()
-
-    # -- access -----------------------------------------------------------------
+        super().__init__(capacity)
 
     def get(self, key: RequestKey) -> Optional[Relation]:
-        with self._lock:
-            relation = self._entries.get(key)
-            if relation is None:
-                self.statistics.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.statistics.hits += 1
-            # Hand out a copy: a consumer mutating the returned relation must
-            # not corrupt the stored entry (the frozen-copy contract holds on
-            # the way out as well as on the way in).
-            return self._copy(relation)
+        relation = super().get(key)
+        # Hand out a copy: a consumer mutating the returned relation must
+        # not corrupt the stored entry (the frozen-copy contract holds on
+        # the way out as well as on the way in).
+        return self._copy(relation) if relation is not None else None
 
     def put(self, key: RequestKey, relation: Relation) -> None:
-        frozen = self._copy(relation)
-        with self._lock:
-            self._entries[key] = frozen
-            self._entries.move_to_end(key)
-            self.statistics.puts += 1
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.statistics.evictions += 1
+        super().put(key, self._copy(relation))
 
     @staticmethod
     def _copy(relation: Relation) -> Relation:
         duplicate = Relation(relation.schema, name=relation.name)
         duplicate.rows = list(relation.rows)
         return duplicate
-
-    # -- invalidation --------------------------------------------------------------
 
     def invalidate(self, wrapper: Optional[str] = None,
                    relation: Optional[str] = None) -> int:
@@ -144,32 +101,7 @@ class SourceResultCache:
         """
         wrapper_lower = wrapper.lower() if wrapper is not None else None
         relation_lower = relation.lower() if relation is not None else None
-        with self._lock:
-            doomed = [
-                key for key in self._entries
-                if (wrapper_lower is None or key.wrapper == wrapper_lower)
-                and (relation_lower is None or key.relation == relation_lower)
-            ]
-            for key in doomed:
-                del self._entries[key]
-            self.statistics.invalidations += len(doomed)
-            return len(doomed)
-
-    def clear(self) -> int:
-        return self.invalidate()
-
-    # -- introspection ---------------------------------------------------------------
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: RequestKey) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def snapshot(self) -> Dict[str, int]:
-        data = self.statistics.snapshot()
-        data["entries"] = len(self)
-        data["capacity"] = self.capacity
-        return data
+        return self.drop_where(
+            lambda key: (wrapper_lower is None or key.wrapper == wrapper_lower)
+            and (relation_lower is None or key.relation == relation_lower)
+        )

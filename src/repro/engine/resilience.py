@@ -202,12 +202,14 @@ def classify_error(error: BaseException) -> str:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How transient source failures are retried.
+    """How transient failures are retried: source fetches in the engine,
+    overload sheds in the ODBC client.
 
     ``backoff_delay`` grows exponentially and is jittered by a PRNG seeded
     from ``(seed, request_text, attempt)`` — the schedule is a pure function
     of the request, independent of thread scheduling, so chaos tests and the
-    resilience benchmark replay identically.
+    resilience benchmark replay identically.  A server's ``retry_after``
+    hint, when given, replaces the exponential base.
     """
 
     max_attempts: int = 3
@@ -220,12 +222,16 @@ class RetryPolicy:
     def is_transient(self, error: BaseException) -> bool:
         return classify_error(error) == "transient"
 
-    def backoff_delay(self, request_text: str, attempt: int) -> float:
+    def backoff_delay(self, request_text: str, attempt: int,
+                      retry_after: Optional[float] = None) -> float:
         """Delay before retrying ``attempt`` (1-based count of failures so far)."""
-        delay = min(
-            self.base_delay_seconds * (self.multiplier ** max(0, attempt - 1)),
-            self.max_delay_seconds,
-        )
+        if retry_after is not None and retry_after > 0:
+            delay = float(retry_after)
+        else:
+            delay = min(
+                self.base_delay_seconds * (self.multiplier ** max(0, attempt - 1)),
+                self.max_delay_seconds,
+            )
         if self.jitter > 0:
             rng = random.Random(f"{self.seed}|{request_text}|{attempt}")
             delay *= 1.0 + self.jitter * rng.random()

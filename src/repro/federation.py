@@ -76,7 +76,7 @@ class FederationAnswer:
 class FederationCursor:
     """A streaming answer: rows pulled on demand instead of materialized.
 
-    Wraps the engine's :class:`~repro.engine.stream.ResultStream` with the
+    Wraps the engine's :class:`~repro.engine.executor.ResultStream` with the
     mediation metadata a receiver needs (mediated SQL, conflict explanations,
     column annotations).  ``fetchmany``/``fetchone``/``fetchall`` pull rows;
     ``close()`` cancels still-outstanding source fetches, releases staged

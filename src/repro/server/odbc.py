@@ -21,7 +21,8 @@ Extensions beyond DB-API (all optional keyword paths):
 * ``connection.catalog()`` helpers for schema discovery;
 * ``connect(..., auto_retry=True)`` — bounded client-side retries of
   retriable errors (overload sheds), honouring the server's
-  ``retry_after_seconds`` hint with seeded jitter (see :class:`RetryPolicy`);
+  ``retry_after_seconds`` hint with seeded jitter (see
+  :class:`~repro.engine.resilience.RetryPolicy`);
 * ``connection.explain(sql)`` — the server's plan rendering, including
   per-operator estimated rows and their provenance (feedback vs defaults);
 * ``connect(async_server=..., transport="native"|"http")`` — bind the
@@ -40,10 +41,10 @@ import random
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ClientError
+from repro.engine import resilience
 from repro.federation import Federation
 from repro.server.aio import MAGIC, FrameParser, encode_frame
 from repro.server.http import (
@@ -67,61 +68,41 @@ threadsafety = 0
 paramstyle = "pyformat"
 
 
-@dataclass
-class RetryPolicy:
-    """How a connection retries retriable (overload-shed) requests.
+def _retry_policy(
+        auto_retry: Union[bool, int, resilience.RetryPolicy, None],
+) -> Optional[resilience.RetryPolicy]:
+    """The connection's retry policy for an ``auto_retry`` argument.
 
-    An :class:`~repro.errors.OverloadError` shed is always safe to retry —
-    nothing executed server-side — and carries ``retry_after_seconds``, which
-    the retry loop honours; ``backoff_seconds`` (doubling per attempt, capped
-    at ``max_backoff_seconds``) covers sheds without a hint.  Jitter is drawn
-    from a seeded generator so retry storms de-synchronize deterministically
-    under test.  ``sleep`` is injectable for tests.
+    Only retriable errors are retried: an overload shed executed nothing
+    server-side, and its ``retry_after_seconds`` hint replaces the
+    exponential base.  ``True`` or an attempt count get the client defaults — 0.05 s backoff
+    doubling to a 2 s cap, 3 attempts — with a per-connection jitter seed,
+    so clients shed together do not retry in lockstep.
     """
-
-    max_attempts: int = 3
-    backoff_seconds: float = 0.05
-    max_backoff_seconds: float = 2.0
-    #: Fractional jitter added on top of each delay (0.25 = up to +25%).
-    jitter: float = 0.25
-    seed: Optional[int] = None
-    sleep: Callable[[float], None] = field(default=time.sleep, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ClientError(
-                f"auto_retry needs at least 1 attempt, got {self.max_attempts}"
-            )
-        self._random = random.Random(self.seed)
-
-    def delay(self, attempt: int, retry_after: Optional[float]) -> float:
-        """Seconds to wait before retry number ``attempt`` (1-based)."""
-        if retry_after is not None and retry_after > 0:
-            base = float(retry_after)
-        else:
-            base = min(self.backoff_seconds * (2 ** (attempt - 1)),
-                       self.max_backoff_seconds)
-        return base * (1.0 + self.jitter * self._random.random())
-
-
-def _retry_policy(auto_retry: Union[bool, int, RetryPolicy, None]) -> Optional[RetryPolicy]:
     if auto_retry is None or auto_retry is False:
         return None
-    if auto_retry is True:
-        return RetryPolicy()
-    if isinstance(auto_retry, RetryPolicy):
-        return auto_retry
-    if isinstance(auto_retry, int):
-        return RetryPolicy(max_attempts=auto_retry)
-    raise ClientError(
-        f"auto_retry must be a bool, an attempt count or a RetryPolicy, "
-        f"got {type(auto_retry).__name__}"
-    )
+    if isinstance(auto_retry, resilience.RetryPolicy):
+        policy = auto_retry
+    elif isinstance(auto_retry, int):
+        policy = resilience.RetryPolicy(
+            max_attempts=3 if auto_retry is True else auto_retry,
+            base_delay_seconds=0.05, seed=random.getrandbits(32),
+        )
+    else:
+        raise ClientError(
+            f"auto_retry must be a bool, an attempt count or a RetryPolicy, "
+            f"got {type(auto_retry).__name__}"
+        )
+    if policy.max_attempts < 1:
+        raise ClientError(
+            f"auto_retry needs at least 1 attempt, got {policy.max_attempts}"
+        )
+    return policy
 
 
 def connect(federation: Optional[Federation] = None, server: Optional[MediationServer] = None,
             context: Optional[str] = None, tenant: Optional[str] = None,
-            auto_retry: Union[bool, int, RetryPolicy, None] = False,
+            auto_retry: Union[bool, int, resilience.RetryPolicy, None] = False,
             async_server: Optional[Any] = None,
             transport: str = "native") -> "Connection":
     """Open a connection to a mediation server.
@@ -133,8 +114,8 @@ def connect(federation: Optional[Federation] = None, server: Optional[MediationS
     gateway accounts quotas against; every request of this connection
     carries it.  ``auto_retry`` opts the connection into bounded client-side
     retries of retriable errors (overload sheds): ``True`` for the default
-    :class:`RetryPolicy`, an integer for a custom attempt bound, or a policy
-    instance for full control.
+    :class:`~repro.engine.resilience.RetryPolicy`, an integer for a custom
+    attempt bound, or a policy instance for full control.
 
     ``async_server`` binds the connection to an event-loop
     :class:`~repro.server.aio.AsyncMediationServer` instead: the connection
@@ -178,7 +159,7 @@ class Connection:
 
     def __init__(self, server: MediationServer, context: Optional[str] = None,
                  tenant: Optional[str] = None,
-                 retry_policy: Optional[RetryPolicy] = None,
+                 retry_policy: Optional[resilience.RetryPolicy] = None,
                  channel: Optional[Any] = None):
         self._server = server
         # Any object with HttpChannel's ``post`` shape works: the default
@@ -188,6 +169,8 @@ class Connection:
         self.context = context
         self.tenant = tenant
         self.retry_policy = retry_policy
+        #: Sleeps between auto-retries; swap in a ManualClock's for tests.
+        self.clock: resilience.Clock = resilience.SYSTEM_CLOCK
         #: Retriable errors this connection absorbed by retrying.
         self.auto_retries = 0
         self._trace_counter = itertools.count(1)
@@ -275,7 +258,8 @@ class Connection:
                         or not getattr(error, "retriable", False)):
                     raise
                 self.auto_retries += 1
-                policy.sleep(policy.delay(attempt, error.retry_after_seconds))
+                self.clock.sleep(policy.backoff_delay(
+                    operation, attempt, retry_after=error.retry_after_seconds))
         raise ClientError("unreachable: retry loop exhausted")  # pragma: no cover
 
     def _mint_trace_id(self) -> str:

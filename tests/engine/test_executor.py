@@ -4,8 +4,9 @@ import pytest
 
 from repro.demo.scenarios import build_paper_federation
 from repro.engine.engine import MultiDatabaseEngine
+from repro.engine.plan import JoinStep
 from repro.engine.planner import PlannerConfig
-from repro.errors import EngineError
+from repro.errors import EngineError, ExecutionError
 from repro.sources.memory import MemorySQLSource
 from repro.wrappers.wrapper import RelationalWrapper
 
@@ -187,3 +188,18 @@ class TestErrors:
     def test_non_select_rejected(self, engine):
         with pytest.raises(EngineError):
             engine.execute("CREATE TABLE z (a integer)")
+
+    def test_hash_step_without_equi_keys_is_a_planner_bug(self):
+        # The planner sets hash_join only with oriented, type-checked
+        # equi_keys; the executor refuses a step that breaks that rule
+        # instead of re-deriving keys from the raw conditions.
+        engine = build_paper_federation().federation.engine
+        plan = engine.plan("SELECT r1.cname FROM r1, r2 WHERE r1.cname = r2.cname")
+        branch = plan.branches[0]
+        planned = branch.join_steps[0]
+        branch.join_steps = [JoinStep(request_index=planned.request_index,
+                                      conditions=planned.conditions,
+                                      hash_join=True, equi_keys=())]
+        with pytest.raises(ExecutionError, match="equi_keys"):
+            engine.execute(plan)
+        assert engine.controller.temp_store.handles == []

@@ -169,6 +169,7 @@ class TestSessionLifecycle:
                 time.sleep(0.02)
             assert aio.server.gateway.snapshot()["active_streams"] == 0
             assert aio.server.snapshot()["open_cursors"] == 0
+            connection.close()
         finally:
             aio.shutdown(5.0)
 
@@ -275,6 +276,7 @@ class TestSheddingAndDrain:
         assert gateway_load["active"] == 0
         assert gateway_load["active_streams"] == 0
         assert aio.sessions.snapshot()["open"] == 0
+        connection.close()
 
     def test_connection_limit_refuses_excess(self):
         config = AsyncServerConfig(max_connections=1)

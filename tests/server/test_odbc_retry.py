@@ -6,13 +6,16 @@ and never fire for non-retriable failures.  ``Connection.explain`` rides
 along: the retry loop wraps every protocol call, explain included.
 """
 
+import time
+
 import pytest
 
 from repro.demo.scenarios import build_paper_federation
+from repro.engine.resilience import Clock, RetryPolicy
 from repro.errors import ClientError
 from repro.server import odbc
 from repro.server.gateway import GatewayConfig
-from repro.server.odbc import RetryPolicy, _retry_policy
+from repro.server.odbc import _retry_policy
 from repro.server.server import MediationServer
 
 PAPER_QUERY = (
@@ -34,33 +37,39 @@ class TestRetryPolicy:
     def test_auto_retry_argument_mapping(self):
         assert _retry_policy(False) is None
         assert _retry_policy(None) is None
-        assert _retry_policy(True).max_attempts == 3
+        default = _retry_policy(True)
+        assert default.max_attempts == 3
+        assert default.base_delay_seconds == pytest.approx(0.05)
+        assert default.max_delay_seconds == pytest.approx(2.0)
         assert _retry_policy(5).max_attempts == 5
         policy = RetryPolicy(max_attempts=2)
         assert _retry_policy(policy) is policy
         with pytest.raises(ClientError):
             _retry_policy("yes")
         with pytest.raises(ClientError):
-            RetryPolicy(max_attempts=0)
+            _retry_policy(RetryPolicy(max_attempts=0))
 
     def test_delay_honours_retry_after_hint(self):
         policy = RetryPolicy(jitter=0.0)
-        assert policy.delay(1, 1.5) == pytest.approx(1.5)
+        assert policy.backoff_delay("query", 1, retry_after=1.5) == pytest.approx(1.5)
 
     def test_delay_backs_off_exponentially_without_hint(self):
-        policy = RetryPolicy(backoff_seconds=0.1, max_backoff_seconds=0.3,
+        policy = RetryPolicy(base_delay_seconds=0.1, max_delay_seconds=0.3,
                              jitter=0.0)
-        assert policy.delay(1, None) == pytest.approx(0.1)
-        assert policy.delay(2, 0.0) == pytest.approx(0.2)
-        assert policy.delay(3, None) == pytest.approx(0.3)  # capped
-        assert policy.delay(9, None) == pytest.approx(0.3)
+        assert policy.backoff_delay("query", 1) == pytest.approx(0.1)
+        assert policy.backoff_delay("query", 2, retry_after=0.0) == pytest.approx(0.2)
+        assert policy.backoff_delay("query", 3) == pytest.approx(0.3)  # capped
+        assert policy.backoff_delay("query", 9) == pytest.approx(0.3)
 
     def test_jitter_is_bounded_and_seeded(self):
         first = RetryPolicy(jitter=0.25, seed=11)
         second = RetryPolicy(jitter=0.25, seed=11)
-        delays = [first.delay(1, 1.0) for _ in range(20)]
+        delays = [first.backoff_delay(f"query{n}", 1, retry_after=1.0)
+                  for n in range(20)]
         assert all(1.0 <= delay <= 1.25 for delay in delays)
-        assert delays == [second.delay(1, 1.0) for _ in range(20)]
+        assert len(set(delays)) > 1
+        assert delays == [second.backoff_delay(f"query{n}", 1, retry_after=1.0)
+                          for n in range(20)]
 
 
 class TestConnectionAutoRetry:
@@ -70,8 +79,9 @@ class TestConnectionAutoRetry:
         federation = build_paper_federation().federation
         connection = odbc.connect(
             federation=federation,
-            auto_retry=RetryPolicy(max_attempts=3, jitter=0.0, sleep=lambda _s: None),
+            auto_retry=RetryPolicy(max_attempts=3, jitter=0.0),
         )
+        connection.clock = Clock(now=time.monotonic, sleep=lambda _s: None)
         calls = {"n": 0}
         real = connection._call_once
 
@@ -94,9 +104,9 @@ class TestConnectionAutoRetry:
         delays = []
         connection = odbc.connect(
             server=_throttled_server(), tenant="burst",
-            auto_retry=RetryPolicy(max_attempts=3, jitter=0.0,
-                                   sleep=delays.append),
+            auto_retry=RetryPolicy(max_attempts=3, jitter=0.0),
         )
+        connection.clock = Clock(now=time.monotonic, sleep=delays.append)
         cursor = connection.cursor()
         cursor.execute(PAPER_QUERY)  # burst capacity covers the first call
         with pytest.raises(ClientError) as excinfo:
@@ -113,8 +123,9 @@ class TestConnectionAutoRetry:
         slept = []
         connection = odbc.connect(
             federation=federation,
-            auto_retry=RetryPolicy(max_attempts=5, sleep=slept.append),
+            auto_retry=RetryPolicy(max_attempts=5),
         )
+        connection.clock = Clock(now=time.monotonic, sleep=slept.append)
         cursor = connection.cursor()
         with pytest.raises(ClientError):
             cursor.execute("SELECT nothing FROM nowhere")
